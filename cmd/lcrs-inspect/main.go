@@ -10,7 +10,7 @@
 //	lcrs-inspect -pack demo.lcpk          # deploy pack: manifest, version, sections
 //	lcrs-inspect -arch alexnet            # paper-size build, CIFAR10 shape
 //	lcrs-inspect -arch vgg16 -scale 0.25
-//	lcrs-inspect -server http://127.0.0.1:8080                 # /v1/exitstats
+//	lcrs-inspect -server http://127.0.0.1:8080                 # /v1/stats
 //	lcrs-inspect -server http://127.0.0.1:8080 -view journal   # /v1/debug/requests
 //	lcrs-inspect -server http://127.0.0.1:8080 -view slo       # /v1/slo verdict
 //	lcrs-inspect -server http://127.0.0.1:8080 -trace <id>     # client→edge waterfall
@@ -39,7 +39,7 @@ func main() {
 		scale   = flag.Float64("scale", 1, "width scale when building from -arch")
 		classes = flag.Int("classes", 10, "classes when building from -arch")
 		server  = flag.String("server", "", "running edge server base URL to inspect instead of a checkpoint")
-		view    = flag.String("view", "exitstats", "remote view when -server is set: exitstats, journal or slo")
+		view    = flag.String("view", "stats", "remote view when -server is set: stats, journal or slo")
 		traceID = flag.String("trace", "", "render the client→edge span waterfall for this trace (or request) ID; requires -server")
 	)
 	flag.Parse()
@@ -138,27 +138,18 @@ func inspectPack(path string) error {
 // inspectRemote renders one of the edge server's telemetry views.
 func inspectRemote(base, view string) error {
 	switch view {
-	case "exitstats":
-		var stats []edge.ExitStats
-		if err := getJSON(base+"/v1/exitstats", &stats); err != nil {
+	case "stats":
+		var stats []edge.ModelStats
+		if err := getJSON(base+"/v1/stats", &stats); err != nil {
 			return err
 		}
 		if len(stats) == 0 {
 			fmt.Println("no models registered")
 			return nil
 		}
-		// The serving counters carry the answer-cache numbers; keyed by
-		// model name so the two views render side by side.
-		var serving []edge.ModelStats
-		if err := getJSON(base+"/v1/stats", &serving); err != nil {
-			return err
-		}
-		byName := make(map[string]edge.ModelStats, len(serving))
-		for _, ms := range serving {
-			byName[ms.Name] = ms
-		}
-		for _, es := range stats {
-			fmt.Printf("%s:\n", es.Name)
+		for _, ms := range stats {
+			es := ms.Exit
+			fmt.Printf("%s:\n", ms.Name)
 			fmt.Printf("  decisions: %d local exits, %d offloaded samples (exit rate %.2f)\n",
 				es.LocalExits, es.OffloadedSamples, es.ExitRate)
 			if es.ClientCacheHits > 0 {
@@ -169,7 +160,7 @@ func inspectRemote(base, view string) error {
 			fmt.Printf("  entropy: n=%d mean %.3f p50 %.3f p90 %.3f p99 %.3f\n",
 				es.EntropyCount, es.EntropyMean, es.EntropyP50, es.EntropyP90, es.EntropyP99)
 			fmt.Printf("  tau margin: p50 %.3f p90 %.3f\n", es.TauMarginP50, es.TauMarginP90)
-			if ms, ok := byName[es.Name]; ok && ms.CacheHits+ms.CacheMisses > 0 {
+			if ms.CacheHits+ms.CacheMisses > 0 {
 				fmt.Printf("  answer cache: %d hits / %d misses (hit rate %.2f), %d evictions",
 					ms.CacheHits, ms.CacheMisses,
 					float64(ms.CacheHits)/float64(ms.CacheHits+ms.CacheMisses), ms.CacheEvictions)
@@ -228,7 +219,7 @@ func inspectRemote(base, view string) error {
 			}
 		}
 	default:
-		return fmt.Errorf("unknown view %q (want exitstats, journal or slo)", view)
+		return fmt.Errorf("unknown view %q (want stats, journal or slo)", view)
 	}
 	return nil
 }

@@ -20,7 +20,7 @@ import (
 // branch is unsure about, the entropy histogram shifts right and the local
 // exit rate sags below the screened figure. The experiment renders both
 // views of each phase — the client's own Result records and the deltas
-// between /v1/exitstats snapshots (counters are monotonic, so per-phase
+// between /v1/stats snapshots (counters are monotonic, so per-phase
 // numbers are differences of cumulative ones) — and cross-checks request
 // correlation by looking every offload's Result.RequestID up in the edge's
 // /v1/debug/requests journal.
@@ -188,20 +188,20 @@ func driftPhases(tm *trainedModel, skewClass, perPhase int) (balanced, skewed []
 	return balanced, skewed
 }
 
-// fetchExitStats reads the model's row from GET /v1/exitstats — the same
-// JSON view an operator scrapes, so the experiment exercises the endpoint
-// rather than the server handle.
+// fetchExitStats reads the exit section of the model's row from GET
+// /v1/stats — the same JSON view an operator scrapes, so the experiment
+// exercises the endpoint rather than the server handle.
 func fetchExitStats(base, model string) (edge.ExitStats, error) {
-	var all []edge.ExitStats
-	if err := getInto(base+"/v1/exitstats", &all); err != nil {
+	var all []edge.ModelStats
+	if err := getInto(base+"/v1/stats", &all); err != nil {
 		return edge.ExitStats{}, err
 	}
-	for _, es := range all {
-		if es.Name == model {
-			return es, nil
+	for _, ms := range all {
+		if ms.Name == model {
+			return ms.Exit, nil
 		}
 	}
-	return edge.ExitStats{}, fmt.Errorf("bench: model %q missing from /v1/exitstats", model)
+	return edge.ExitStats{}, fmt.Errorf("bench: model %q missing from /v1/stats", model)
 }
 
 // correlate counts how many of ids appear in the edge's request journal.

@@ -137,7 +137,7 @@ func (r *Runner) ExitLoop() error {
 	}
 	ctrl := final.Controller
 	if ctrl == nil {
-		return fmt.Errorf("bench: /v1/exitstats is missing the controller block")
+		return fmt.Errorf("bench: /v1/stats is missing the controller block")
 	}
 	r.printf("converged at request %d; trailing exit rate %.2f; settled tau %.3f (moved %+.3f from seed, tail excursion %.3f); controller: %d windows, %d updates, client uptake tau %.3f\n",
 		converged, tailRate, taus[requests-1], taus[requests-1]-replayTau, hi-lo,

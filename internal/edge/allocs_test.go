@@ -18,7 +18,7 @@ func TestServerReplicaForwardZeroAllocs(t *testing.T) {
 		t.Skip("race runtime allocates; budget only meaningful without -race")
 	}
 	if !nn.FusedConvEnabled() {
-		t.Skip("legacy conv path allocates its outputs; budget requires fusion")
+		t.Skip("fusion disabled via nn.SetFusedConv; the legacy conv path allocates its outputs")
 	}
 	// AllocsPerRun pins GOMAXPROCS to 1, which makes ParallelFor run
 	// serially — but force one worker explicitly so the measurement does
@@ -57,7 +57,7 @@ func TestServerReplicaBatchForwardZeroAllocs(t *testing.T) {
 		t.Skip("race runtime allocates; budget only meaningful without -race")
 	}
 	if !nn.FusedConvEnabled() {
-		t.Skip("legacy conv path allocates its outputs; budget requires fusion")
+		t.Skip("fusion disabled via nn.SetFusedConv; the legacy conv path allocates its outputs")
 	}
 	prev := tensor.SetMaxWorkers(1)
 	defer tensor.SetMaxWorkers(prev)

@@ -90,8 +90,8 @@ func TestInferCodecs(t *testing.T) {
 // TestCodecRestriction covers negotiation policy: the restriction list
 // controls both the advertisement in the model listing and the 415 gate on
 // infer, with raw always allowed for v1 interop. Construction goes through
-// WithCodecs; the deprecated SetCodecs wrapper is exercised for runtime
-// re-negotiation.
+// WithCodecs; the unexported setCodecs it wraps is called again with no
+// arguments to check that the restriction can be lifted.
 func TestCodecRestriction(t *testing.T) {
 	if _, err := New(WithCodecs("zstd")); err == nil {
 		t.Fatal("WithCodecs accepted unknown codec")

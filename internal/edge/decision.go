@@ -1,8 +1,6 @@
 package edge
 
 import (
-	"sort"
-
 	"lcrs/internal/collab"
 	"lcrs/internal/obs"
 )
@@ -116,11 +114,10 @@ func (d *decisionStats) observe(samples int, tel *collab.Telemetry, mainPred int
 	}
 }
 
-// ExitStats is the JSON form of one model's decision telemetry, served at
-// GET /v1/exitstats. Every field is read from the same atomics /metrics
-// renders, so the two views reconcile by construction.
+// ExitStats is the decision-telemetry section of one model's ModelStats
+// (the "exit" object in GET /v1/stats). Every field is read from the same
+// atomics /metrics renders, so the two views reconcile by construction.
 type ExitStats struct {
-	Name string `json:"name"`
 	// LocalExits and OffloadedSamples are the two decision counters;
 	// ExitRate is their ratio (0 when nothing was decided yet).
 	LocalExits       int64   `json:"local_exits"`
@@ -165,45 +162,32 @@ func presentQuantile(v float64) float64 {
 	return v
 }
 
-// ExitStats snapshots per-model decision telemetry, sorted by model name.
-func (s *Server) ExitStats() []ExitStats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]ExitStats, 0, len(s.entries))
-	for name, rec := range s.entries {
-		e := rec.active.Load()
-		if e == nil {
-			continue
-		}
-		d := &e.stats.decision
-		st := ExitStats{
-			Name:              name,
-			LocalExits:        d.ExitLocal.Value(),
-			OffloadedSamples:  d.ExitOffload.Value(),
-			ClientCacheHits:   d.ClientCache.Value(),
-			TelemetryRequests: d.Reported.Value(),
-			Agree:             d.AgreeYes.Value(),
-			Disagree:          d.AgreeNo.Value(),
-			EntropyCount:      d.entropy.Count(),
-			EntropyMean:       0,
-			EntropyP50:        presentQuantile(d.entropy.Quantile(0.5)),
-			EntropyP90:        presentQuantile(d.entropy.Quantile(0.9)),
-			EntropyP99:        presentQuantile(d.entropy.Quantile(0.99)),
-			TauMarginP50:      presentQuantile(d.tauMargin.Quantile(0.5)),
-			TauMarginP90:      presentQuantile(d.tauMargin.Quantile(0.9)),
-			Controller:        e.ctrl.tauStats(),
-		}
-		if total := st.LocalExits + st.OffloadedSamples; total > 0 {
-			st.ExitRate = float64(st.LocalExits) / float64(total)
-		}
-		if judged := st.Agree + st.Disagree; judged > 0 {
-			st.AgreeRate = float64(st.Agree) / float64(judged)
-		}
-		if st.EntropyCount > 0 {
-			st.EntropyMean = d.entropy.Sum() / float64(st.EntropyCount)
-		}
-		out = append(out, st)
+// exitStats snapshots the entry's decision telemetry and controller state.
+func (e *entry) exitStats() ExitStats {
+	d := &e.stats.decision
+	st := ExitStats{
+		LocalExits:        d.ExitLocal.Value(),
+		OffloadedSamples:  d.ExitOffload.Value(),
+		ClientCacheHits:   d.ClientCache.Value(),
+		TelemetryRequests: d.Reported.Value(),
+		Agree:             d.AgreeYes.Value(),
+		Disagree:          d.AgreeNo.Value(),
+		EntropyCount:      d.entropy.Count(),
+		EntropyP50:        presentQuantile(d.entropy.Quantile(0.5)),
+		EntropyP90:        presentQuantile(d.entropy.Quantile(0.9)),
+		EntropyP99:        presentQuantile(d.entropy.Quantile(0.99)),
+		TauMarginP50:      presentQuantile(d.tauMargin.Quantile(0.5)),
+		TauMarginP90:      presentQuantile(d.tauMargin.Quantile(0.9)),
+		Controller:        e.ctrl.tauStats(),
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	if total := st.LocalExits + st.OffloadedSamples; total > 0 {
+		st.ExitRate = float64(st.LocalExits) / float64(total)
+	}
+	if judged := st.Agree + st.Disagree; judged > 0 {
+		st.AgreeRate = float64(st.Agree) / float64(judged)
+	}
+	if st.EntropyCount > 0 {
+		st.EntropyMean = d.entropy.Sum() / float64(st.EntropyCount)
+	}
+	return st
 }

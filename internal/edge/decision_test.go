@@ -40,7 +40,8 @@ func telemetryFrame(t *testing.T, shared *tensor.Tensor, tel *collab.Telemetry) 
 
 // TestDecisionTelemetry is the tentpole's end-to-end edge test: v3 frames
 // feed the lcrs_exit_*/lcrs_agree_* families, the response reports
-// agreement, and GET /v1/exitstats reconciles exactly with /metrics.
+// agreement, and the exit section of GET /v1/stats reconciles exactly
+// with /metrics.
 func TestDecisionTelemetry(t *testing.T) {
 	s := newServer(t)
 	m := testModel(t)
@@ -91,16 +92,17 @@ func TestDecisionTelemetry(t *testing.T) {
 		}
 	}
 
-	// /v1/exitstats reads the same atomics, so it must agree exactly.
-	var stats []ExitStats
-	getJSON(t, srv.URL+"/v1/exitstats", &stats)
+	// /v1/stats reads the same atomics, so its exit section must agree
+	// exactly.
+	var stats []ModelStats
+	getJSON(t, srv.URL+"/v1/stats", &stats)
 	if len(stats) != 1 {
-		t.Fatalf("exitstats: %+v", stats)
+		t.Fatalf("stats: %+v", stats)
 	}
-	es := stats[0]
-	if es.Name != "demo" || es.LocalExits != 3 || es.OffloadedSamples != 4 ||
+	es := stats[0].Exit
+	if stats[0].Name != "demo" || es.LocalExits != 3 || es.OffloadedSamples != 4 ||
 		es.TelemetryRequests != 3 || es.Agree != 2 || es.Disagree != 1 {
-		t.Fatalf("/v1/exitstats does not reconcile with /metrics: %+v", es)
+		t.Fatalf("/v1/stats exit section does not reconcile with /metrics: %+v", es)
 	}
 	if want := 3.0 / 7.0; es.ExitRate < want-1e-9 || es.ExitRate > want+1e-9 {
 		t.Fatalf("exit rate = %v, want %v", es.ExitRate, want)
@@ -117,6 +119,46 @@ func TestDecisionTelemetry(t *testing.T) {
 	}
 	if es.EntropyP50 <= 0 || es.EntropyP50 > 1 || es.TauMarginP50 <= 0 {
 		t.Fatalf("quantiles out of range: %+v", es)
+	}
+}
+
+// TestMultiSampleFrameTelemetry pins how one frame carrying several
+// offloaded samples is accounted: it is one request with one ID and one
+// agreement verdict (the client's binary top-1 against the first
+// sample's main top-1), while the offload counter counts every sample.
+func TestMultiSampleFrameTelemetry(t *testing.T) {
+	s := newServer(t)
+	m := testModel(t)
+	if _, err := s.Register("demo", m); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	const n = 4
+	g := tensor.NewRNG(36)
+	shared := m.ForwardShared(g.Uniform(-1, 1, n, 1, 28, 28), false)
+	want := m.ForwardMainRest(shared, false)
+	tel := &collab.Telemetry{Entropy: 0.7, Tau: 0.3, BinaryPred: 2, LocalExits: 1}
+	ir := postInfer(t, srv.URL+"/v1/infer/demo", telemetryFrame(t, shared, tel))
+	if len(ir.Preds) != n {
+		t.Fatalf("preds = %v, want %d entries", ir.Preds, n)
+	}
+	for i, p := range ir.Preds {
+		if wp := argmaxRows(want, i, i+1)[0]; p != wp {
+			t.Fatalf("sample %d: pred %d, want %d", i, p, wp)
+		}
+	}
+	if ir.RequestID == "" || ir.BinaryAgree == nil || *ir.BinaryAgree != (ir.Pred == 2) {
+		t.Fatalf("one request ID and a first-sample verdict expected: %+v", ir)
+	}
+
+	var stats []ModelStats
+	getJSON(t, srv.URL+"/v1/stats", &stats)
+	es := stats[0].Exit
+	if stats[0].InferRequests != 1 || es.OffloadedSamples != n || es.LocalExits != 1 ||
+		es.TelemetryRequests != 1 || es.Agree+es.Disagree != 1 {
+		t.Fatalf("multi-sample frame accounting wrong: requests %d, exit %+v", stats[0].InferRequests, es)
 	}
 }
 

@@ -9,12 +9,12 @@
 // are hosted through the versioned registry (registry.go): Register
 // stages and activates in one step, RegisterVersion/RegisterPack +
 // Activate split deploy from cutover for zero-downtime hot-swap and
-// rollback. Serving state is observable several ways: GET /v1/stats and
-// GET /v1/exitstats return per-model JSON counters and decision
-// telemetry, GET /metrics serves the same atomics plus per-stage latency
-// histograms in the Prometheus text format (DESIGN.md sections 10-11,
-// 15), and GET /v1/debug/requests lists the most recent requests with
-// their correlation IDs.
+// rollback. Serving state is observable several ways: GET /v1/stats
+// returns one JSON snapshot per model (serving counters, decision
+// telemetry and tau-controller state), GET /metrics serves the same
+// atomics plus per-stage latency histograms in the Prometheus text format
+// (DESIGN.md sections 10-11, 15), and GET /v1/debug/requests lists the
+// most recent requests with their correlation IDs.
 package edge
 
 import (
@@ -24,6 +24,7 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -209,7 +210,8 @@ type modelStats struct {
 // observeBatch records one batched forward of n samples in the histogram.
 func (s *modelStats) observeBatch(n int) { s.batchSize.Observe(float64(n)) }
 
-// ModelStats is the JSON form of one model's serving counters.
+// ModelStats is the JSON form of one model's serving state, the single
+// per-model snapshot GET /v1/stats serves.
 type ModelStats struct {
 	Name string `json:"name"`
 	// Version is the active version whose entry these counters were read
@@ -248,6 +250,10 @@ type ModelStats struct {
 	// present only after the first hit.
 	CacheHitP50Micros int64 `json:"cache_hit_p50_micros,omitempty"`
 	CacheHitP99Micros int64 `json:"cache_hit_p99_micros,omitempty"`
+	// Exit is the model's decision telemetry (decision.go): exit and
+	// agreement counts and rates, entropy and tau-margin quantiles, and the
+	// tau controller's state.
+	Exit ExitStats `json:"exit"`
 }
 
 // HistBucket is one batch-size histogram bucket: Count batches carried a
@@ -394,9 +400,9 @@ func (s *Server) codecNamesLocked() []string {
 // expose it elsewhere or add their own metrics to it.
 func (s *Server) Metrics() *obs.Registry { return s.metrics }
 
-// Models lists hosted models sorted by registration map order. A model
-// whose versions are all staged (never activated) is listed from its most
-// recently staged version with an empty active Version.
+// Models lists hosted models sorted by name. A model whose versions are
+// all staged (never activated) is listed from its most recently staged
+// version with an empty active Version.
 func (s *Server) Models() []ModelInfo {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -422,14 +428,16 @@ func (s *Server) Models() []ModelInfo {
 		}
 		out = append(out, info)
 	}
+	slices.SortFunc(out, func(a, b ModelInfo) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }
 
-// Stats snapshots per-model serving counters. Counters are read with
-// atomic loads, so a snapshot taken under load is per-field consistent,
-// and the values are the same atomics /metrics exposes, so the two views
-// reconcile by construction. Models without an activated version are
-// omitted — they have never served.
+// Stats snapshots every model's serving counters and decision telemetry,
+// sorted by model name. Counters are read with atomic loads, so a snapshot
+// taken under load is per-field consistent, and the values are the same
+// atomics /metrics exposes, so the two views reconcile by construction.
+// Models without an activated version are omitted — they have never
+// served.
 func (s *Server) Stats() []ModelStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -452,6 +460,7 @@ func (s *Server) Stats() []ModelStats {
 			CacheHits:         e.stats.CacheHits.Value(),
 			CacheMisses:       e.stats.CacheMisses.Value(),
 			CacheEvictions:    e.stats.CacheEvictions.Value(),
+			Exit:              e.exitStats(),
 		}
 		if st.CacheHits > 0 {
 			st.CacheHitP50Micros = int64(e.stats.cacheHit.Quantile(0.5) * 1e6)
@@ -474,6 +483,7 @@ func (s *Server) Stats() []ModelStats {
 		}
 		out = append(out, st)
 	}
+	slices.SortFunc(out, func(a, b ModelStats) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }
 
@@ -483,8 +493,7 @@ func (s *Server) Stats() []ModelStats {
 //	GET  /v1/health            readiness: 503 + verdict while an SLO burns
 //	GET  /v1/slo               full SLO verdict (objectives per version)
 //	GET  /v1/models            JSON list of hosted models
-//	GET  /v1/stats             JSON per-model serving counters
-//	GET  /v1/exitstats         JSON per-model decision telemetry
+//	GET  /v1/stats             JSON per-model counters and decision telemetry
 //	GET  /v1/debug/requests    recent requests from the journal, newest first
 //	GET  /v1/debug/trace/{id}  span tree of one journaled request
 //	GET  /v1/bundle/{name}     browser bundle of the active version
@@ -515,9 +524,6 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.Stats())
-	})
-	mux.HandleFunc("/v1/exitstats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.ExitStats())
 	})
 	mux.HandleFunc("/v1/debug/requests", func(w http.ResponseWriter, r *http.Request) {
 		entries := []JournalEntry{}
@@ -631,28 +637,22 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	}
 	tr.stages[stageRead] = body.took
 	tr.stages[stageDecode] = time.Since(decodeStart) - body.took
-	if err != nil {
-		e.stats.InferRequests.Inc()
-		e.stats.InferErrors.Inc()
-		e.observeWin(inferStart, true)
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+	status := http.StatusBadRequest
+	if err == nil && !s.codecAccepted(codecID) {
+		status = http.StatusUnsupportedMediaType
+		err = fmt.Errorf("codec 0x%02x not enabled on this server", uint8(codecID))
 	}
-	if !s.codecAccepted(codecID) {
-		e.stats.InferRequests.Inc()
-		e.stats.InferErrors.Inc()
-		e.observeWin(inferStart, true)
-		http.Error(w, fmt.Sprintf("codec 0x%02x not enabled on this server", uint8(codecID)),
-			http.StatusUnsupportedMediaType)
-		return
+	if err == nil {
+		e.stats.PayloadBytes.Add(body.n)
+		t, err = normalizeIntermediate(e, t)
 	}
-	e.stats.PayloadBytes.Add(body.n)
-	t, err = normalizeIntermediate(e, t)
 	if err != nil {
+		// A rejected frame (undecodable, codec not enabled, wrong shape) is
+		// one failed request.
 		e.stats.InferRequests.Inc()
 		e.stats.InferErrors.Inc()
 		e.observeWin(inferStart, true)
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		http.Error(w, err.Error(), status)
 		return
 	}
 	var resp InferResponse
@@ -663,16 +663,22 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		// stage histograms should say about it.
 		hitStart := time.Now()
 		ans, hit, leader, fl := cache.lookup(key)
+		if !hit && !leader {
+			// An identical frame is being computed right now: wait for the
+			// leader's answer instead of duplicating the forward. A leader
+			// that aborted leaves the follower to compute for itself.
+			<-fl.done
+			ans, hit = fl.ans, fl.ok
+		}
+		e.winCache(hit)
 		switch {
 		case hit:
 			resp = InferResponse{Model: name, Pred: ans.pred, Preds: ans.preds, Probs: ans.probs}
 			e.stats.CacheHits.Inc()
-			e.winCache(true)
 			e.stats.InferRequests.Inc()
 			e.stats.cacheHit.ObserveDuration(time.Since(hitStart))
 		case leader:
 			e.stats.CacheMisses.Inc()
-			e.winCache(false)
 			completed := false
 			defer func() {
 				// Release followers even if the forward panics; they fall
@@ -685,20 +691,8 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 			cache.complete(key, fl, cachedAnswer{pred: resp.Pred, preds: resp.Preds, probs: resp.Probs})
 			completed = true
 		default:
-			// An identical frame is being computed right now: wait for the
-			// leader's answer instead of duplicating the forward.
-			<-fl.done
-			if fl.ok {
-				resp = InferResponse{Model: name, Pred: fl.ans.pred, Preds: fl.ans.preds, Probs: fl.ans.probs}
-				e.stats.CacheHits.Inc()
-				e.winCache(true)
-				e.stats.InferRequests.Inc()
-				e.stats.cacheHit.ObserveDuration(time.Since(hitStart))
-			} else {
-				e.stats.CacheMisses.Inc()
-				e.winCache(false)
-				resp = computeInfer(name, e, t, &tr)
-			}
+			e.stats.CacheMisses.Inc()
+			resp = computeInfer(name, e, t, &tr)
 		}
 	} else {
 		resp = computeInfer(name, e, t, &tr)

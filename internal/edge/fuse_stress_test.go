@@ -23,7 +23,7 @@ import (
 // and arena recycling.
 func TestInferFusedBitwiseMatchesLegacyUnderLoad(t *testing.T) {
 	if !nn.FusedConvEnabled() {
-		t.Skip("fusion disabled (nofuse build or LCRS_NOFUSE)")
+		t.Skip("fusion disabled via nn.SetFusedConv")
 	}
 	s := newServer(t, WithBatching(4, 0), WithReplicas(2))
 	m := testModel(t)

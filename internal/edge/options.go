@@ -129,8 +129,8 @@ func WithJournal(n int) Option {
 // damped adjustments of the exit threshold, and the current threshold is
 // pushed to clients in every infer response's Tau field. cfg is validated
 // here (defaults filled in), so a bad configuration fails construction.
-// Controller state is served in /v1/exitstats and the lcrs_tau_* metric
-// families.
+// Controller state is served in the exit section of /v1/stats and the
+// lcrs_tau_* metric families.
 func WithTauControl(cfg exitpolicy.Config) Option {
 	return func(s *Server) error {
 		norm, err := cfg.Validate()

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"lcrs/internal/collab"
@@ -86,5 +87,47 @@ func TestStatsEmptyServer(t *testing.T) {
 	s := newServer(t)
 	if got := s.Stats(); len(got) != 0 {
 		t.Fatalf("empty server stats = %+v", got)
+	}
+}
+
+// TestListingsSortedByName pins the listing order of /v1/stats and
+// /v1/models: by model name, identical on every read, whatever order the
+// models were registered in.
+func TestListingsSortedByName(t *testing.T) {
+	s := newServer(t, WithReplicas(1))
+	names := []string{"echo", "alpha", "foxtrot", "delta", "bravo", "charlie"}
+	m := testModel(t)
+	for _, name := range names {
+		if _, err := s.Register(name, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	want := slices.Clone(names)
+	slices.Sort(want)
+	check := func(what string, got []string) {
+		t.Helper()
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s order = %v, want %v", what, got, want)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		var stats []ModelStats
+		getJSON(t, srv.URL+"/v1/stats", &stats)
+		var got []string
+		for _, st := range stats {
+			got = append(got, st.Name)
+		}
+		check("/v1/stats", got)
+
+		var infos []ModelInfo
+		getJSON(t, srv.URL+"/v1/models", &infos)
+		got = got[:0]
+		for _, info := range infos {
+			got = append(got, info.Name)
+		}
+		check("/v1/models", got)
 	}
 }

@@ -106,8 +106,8 @@ func (tc *tauControl) observe(tel *collab.Telemetry, samples, mainPred int) (tau
 	return tc.ctrl.Tau(), true
 }
 
-// TauControlStats is the controller block of one model's /v1/exitstats
-// row: the exitpolicy.State snapshot plus the edge-side uptake view.
+// TauControlStats is the controller block of one model's /v1/stats exit
+// section: the exitpolicy.State snapshot plus the edge-side uptake view.
 type TauControlStats struct {
 	exitpolicy.State
 	// ClientTau is the threshold the most recent telemetry frame
@@ -117,7 +117,7 @@ type TauControlStats struct {
 	ClientTau float64 `json:"client_tau"`
 }
 
-// tauStats snapshots the controller for /v1/exitstats; nil without one.
+// tauStats snapshots the controller for /v1/stats; nil without one.
 func (tc *tauControl) tauStats() *TauControlStats {
 	if tc == nil {
 		return nil

@@ -37,8 +37,8 @@ func tauControlServer(t *testing.T) (*Server, *httptest.Server, *tensor.Tensor) 
 // frames seed the controller from the client's reported tau, a window of
 // all-offload traffic (observed exit rate 0 < target 0.5) raises the
 // threshold, and the new value rides back in InferResponse.Tau — also to
-// telemetry-less clients once the controller is seeded. /v1/exitstats
-// and the lcrs_tau_* families expose the same state.
+// telemetry-less clients once the controller is seeded. The exit section
+// of /v1/stats and the lcrs_tau_* families expose the same state.
 func TestTauControlPush(t *testing.T) {
 	_, srv, shared := tauControlServer(t)
 
@@ -69,13 +69,13 @@ func TestTauControlPush(t *testing.T) {
 		t.Fatalf("seeded controller must push tau to telemetry-less clients, got %+v", ir.Tau)
 	}
 
-	// /v1/exitstats carries the controller block.
-	var stats []ExitStats
-	getJSON(t, srv.URL+"/v1/exitstats", &stats)
-	if len(stats) != 1 || stats[0].Controller == nil {
-		t.Fatalf("exitstats missing controller block: %+v", stats)
+	// /v1/stats carries the controller block in its exit section.
+	var stats []ModelStats
+	getJSON(t, srv.URL+"/v1/stats", &stats)
+	if len(stats) != 1 || stats[0].Exit.Controller == nil {
+		t.Fatalf("stats missing controller block: %+v", stats)
 	}
-	c := stats[0].Controller
+	c := stats[0].Exit.Controller
 	if !c.Seeded || c.Mode != exitpolicy.ModeExitRate || c.Target != 0.5 {
 		t.Fatalf("controller state wrong: %+v", c)
 	}
@@ -120,16 +120,16 @@ func TestTauControlHysteresis(t *testing.T) {
 	if ir.Tau == nil || *ir.Tau != 0.25 {
 		t.Fatalf("in-band window must hold tau at the seed, got %+v", ir.Tau)
 	}
-	var stats []ExitStats
-	getJSON(t, srv.URL+"/v1/exitstats", &stats)
-	c := stats[0].Controller
+	var stats []ModelStats
+	getJSON(t, srv.URL+"/v1/stats", &stats)
+	c := stats[0].Exit.Controller
 	if c.Windows != 1 || c.Updates != 0 || c.LastStep != 0 {
 		t.Fatalf("in-band window must not update: %+v", c)
 	}
 }
 
 // TestNoTauWithoutController pins the default: without WithTauControl
-// responses carry no tau field, /v1/exitstats has no controller block,
+// responses carry no tau field, /v1/stats has no controller block,
 // and no lcrs_tau_* series exist.
 func TestNoTauWithoutController(t *testing.T) {
 	s := newServer(t)
@@ -146,10 +146,10 @@ func TestNoTauWithoutController(t *testing.T) {
 	if ir := postInfer(t, srv.URL+"/v1/infer/demo", telemetryFrame(t, shared, tel)); ir.Tau != nil {
 		t.Fatalf("controller-less server pushed tau %v", *ir.Tau)
 	}
-	var stats []ExitStats
-	getJSON(t, srv.URL+"/v1/exitstats", &stats)
-	if stats[0].Controller != nil {
-		t.Fatalf("controller-less exitstats: %+v", stats[0].Controller)
+	var stats []ModelStats
+	getJSON(t, srv.URL+"/v1/stats", &stats)
+	if stats[0].Exit.Controller != nil {
+		t.Fatalf("controller-less stats: %+v", stats[0].Exit.Controller)
 	}
 	for series := range scrape(t, srv.URL) {
 		if len(series) >= 8 && series[:8] == "lcrs_tau" {
@@ -175,9 +175,9 @@ func TestTauControlReRegister(t *testing.T) {
 	if _, err := s.Register("demo", testModel(t)); err != nil {
 		t.Fatal(err)
 	}
-	var stats []ExitStats
-	getJSON(t, srv.URL+"/v1/exitstats", &stats)
-	c := stats[0].Controller
+	var stats []ModelStats
+	getJSON(t, srv.URL+"/v1/stats", &stats)
+	c := stats[0].Exit.Controller
 	if c == nil || c.Seeded || c.Windows != 0 {
 		t.Fatalf("re-registration must reset the controller: %+v", c)
 	}

@@ -373,7 +373,7 @@ func (c *Controller) errorFor(signal float64) float64 {
 }
 
 // State is a JSON-ready snapshot of a Controller, surfaced by the edge
-// server's /v1/exitstats next to the decision telemetry it is driven by.
+// server's /v1/stats next to the decision telemetry it is driven by.
 type State struct {
 	Mode    Mode    `json:"mode"`
 	Target  float64 `json:"target"`

@@ -164,7 +164,7 @@ func TestControllerMonotoneResponseQuick(t *testing.T) {
 
 // TestControllerUpdateCountsMatchQuick: Updates counts exactly the
 // Observe calls that returned updated, and Windows the completed
-// evaluations — the bookkeeping /v1/exitstats and the lcrs_tau_* metrics
+// evaluations — the bookkeeping /v1/stats and the lcrs_tau_* metrics
 // rely on.
 func TestControllerUpdateCountsMatchQuick(t *testing.T) {
 	f := func(stream []uint8) bool {

@@ -32,7 +32,7 @@ type Conv2D struct {
 	// goroutine on its own CloneForInference copy (the edge server's
 	// replica pool does the latter). The fused inference path never
 	// materializes the cols matrix, so scratch stays empty there; it only
-	// grows on the legacy (train or nofuse) path.
+	// grows on the legacy (training or SetFusedConv(false)) path.
 	scratch []float32
 
 	// Fused-path state: panel is the K x convNC pack buffer (persistent

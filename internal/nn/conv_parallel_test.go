@@ -45,7 +45,7 @@ func TestConv2DParallelForwardBitwiseDeterministic(t *testing.T) {
 // Eval-mode forwards on a CloneForInference copy must agree bitwise with
 // the original and leave the original's scratch untouched by the clone.
 func TestConv2DCloneForInferenceSharesParams(t *testing.T) {
-	prevFuse := SetFusedConv(true) // pin the fused path even under -tags nofuse
+	prevFuse := SetFusedConv(true) // pin the fused path whatever the current setting
 	defer SetFusedConv(prevFuse)
 	g := tensor.NewRNG(5)
 	c := NewConv2D("c", g, 3, 6, 3, 3, 1, 1)

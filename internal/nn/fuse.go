@@ -1,27 +1,14 @@
 package nn
 
-import (
-	"os"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // The fused convolution path (tensor.ConvGemmState) is bitwise identical
-// to the legacy materialized-im2col path by construction, but an escape
-// hatch exists at three levels so a regression can be bisected in the
-// field without a rebuild:
-//
-//   - build tag: `go build -tags nofuse` turns the default off
-//     (fuse_nofuse.go), proving the legacy path still compiles and passes
-//     the whole suite — CI runs it.
-//   - environment: LCRS_NOFUSE=1 (any non-empty value) disables fusion at
-//     process start without rebuilding.
-//   - runtime: SetFusedConv flips the path for A/B tests and the
-//     equivalence suites.
+// to the legacy materialized-im2col path by construction. Eval-mode
+// convolutions take it by default; training forwards always take the
+// legacy path.
 var fusedConv atomic.Bool
 
-func init() {
-	fusedConv.Store(fuseBuildDefault && os.Getenv("LCRS_NOFUSE") == "")
-}
+func init() { fusedConv.Store(true) }
 
 // FusedConvEnabled reports whether eval-mode convolutions take the fused
 // im2col+GEMM path. Training forwards always use the materialized path
@@ -29,6 +16,9 @@ func init() {
 func FusedConvEnabled() bool { return fusedConv.Load() }
 
 // SetFusedConv enables or disables the fused convolution path and returns
-// the previous setting. Safe for concurrent use, but flipping it while
-// forwards are in flight only affects convolutions that start afterwards.
+// the previous setting. It is the test-reference switch: the equivalence
+// suites turn fusion off to compute the legacy path's output and compare
+// the fused path against it bitwise. Safe for concurrent use, but flipping
+// it while forwards are in flight only affects convolutions that start
+// afterwards.
 func SetFusedConv(on bool) bool { return fusedConv.Swap(on) }

@@ -12,10 +12,10 @@ package tensor
 // across KC blocks), the fused path keeps a SINGLE full-K ascending
 // accumulation chain per output element followed by one bias add — exactly
 // the order the legacy conv kernel uses — so fused output is bitwise
-// identical to the legacy path (and therefore to `-tags nofuse` builds),
-// pinned by the fuse tests in internal/nn and internal/binary. Parallelism
-// is over gemmMR-row output-channel strips only, so worker count and chunk
-// boundaries cannot change any element's chain.
+// identical to the legacy path, pinned by the fuse tests in internal/nn
+// and internal/binary. Parallelism is over gemmMR-row output-channel
+// strips only, so worker count and chunk boundaries cannot change any
+// element's chain.
 
 // convNC is the position-tile width of the fused-convolution panel: at
 // most convNC x K packed values live at a time, never the full patch

@@ -102,9 +102,9 @@ func TestSessionCacheHitSkipsOffload(t *testing.T) {
 	if third.CacheHit {
 		t.Fatal("distinct frame must not hit")
 	}
-	es := s.ExitStats()
-	if len(es) != 1 || es[0].ClientCacheHits != 1 {
-		t.Fatalf("edge must learn of 1 client cache hit, got %+v", es)
+	st := s.Stats()
+	if len(st) != 1 || st[0].Exit.ClientCacheHits != 1 {
+		t.Fatalf("edge must learn of 1 client cache hit, got %+v", st)
 	}
 }
 
@@ -261,9 +261,9 @@ func TestCacheHitPiggybackRefundEndToEnd(t *testing.T) {
 	if _, err := c.Recognize(ctx, z); err != nil {
 		t.Fatal(err)
 	}
-	es := s.ExitStats()
-	if len(es) != 1 || es[0].ClientCacheHits != 1 {
-		t.Fatalf("edge must count the hit exactly once, got %+v", es)
+	st := s.Stats()
+	if len(st) != 1 || st[0].Exit.ClientCacheHits != 1 {
+		t.Fatalf("edge must count the hit exactly once, got %+v", st)
 	}
 	if got := c.pendingCacheHits.Load(); got != 0 {
 		t.Fatalf("delivered hit still pending: %d", got)

@@ -76,33 +76,6 @@ func TestRecognizeStageTimingsOnExit(t *testing.T) {
 	}
 }
 
-// RecognizeBatch attributes the shared round trip's stages per sample.
-func TestRecognizeBatchStageTimings(t *testing.T) {
-	c, _, test, done := trainServeClient(t, 0.0)
-	defer done()
-	const n = 4
-	xs, _ := gatherBatch(test, n)
-	results, err := c.RecognizeBatch(context.Background(), xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range results {
-		st := res.Stages
-		if st.Local <= 0 || st.Local != res.ClientTime {
-			t.Fatalf("sample %d: Local = %v, ClientTime = %v", i, st.Local, res.ClientTime)
-		}
-		if st.Encode <= 0 || st.RTT != res.EdgeTime {
-			t.Fatalf("sample %d: offload stages %+v", i, st)
-		}
-		if st.EdgeForward <= 0 {
-			t.Fatalf("sample %d: echoed forward %v", i, st.EdgeForward)
-		}
-		if st.EdgeTotal() > st.RTT {
-			t.Fatalf("sample %d: edge stages %v exceed attributed RTT %v", i, st.EdgeTotal(), st.RTT)
-		}
-	}
-}
-
 // WithTimeout must bound requests without mutating a caller's client.
 func TestWithTimeoutCopiesClient(t *testing.T) {
 	caller := &http.Client{Timeout: time.Hour}

@@ -122,8 +122,8 @@ func TestRefundExitsOnFailedOffload(t *testing.T) {
 	if _, err := c.Recognize(ctx, x); err != nil {
 		t.Fatal(err)
 	}
-	var stats []edge.ExitStats
-	resp, err := http.Get(goodBase + "/v1/exitstats")
+	var stats []edge.ModelStats
+	resp, err := http.Get(goodBase + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestRefundExitsOnFailedOffload(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	if len(stats) != 1 || stats[0].LocalExits != backlog {
+	if len(stats) != 1 || stats[0].Exit.LocalExits != backlog {
 		t.Fatalf("edge saw %+v, want exactly %d piggybacked local exits", stats, backlog)
 	}
 }

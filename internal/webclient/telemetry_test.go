@@ -85,11 +85,11 @@ func TestDecisionTelemetryEndToEnd(t *testing.T) {
 	}
 	offloadIDs = append(offloadIDs, res.RequestID)
 
-	stats := s.ExitStats()
+	stats := s.Stats()
 	if len(stats) != 1 {
-		t.Fatalf("exit stats: %+v", stats)
+		t.Fatalf("stats: %+v", stats)
 	}
-	es := stats[0]
+	es := stats[0].Exit
 	if es.OffloadedSamples != 6 || es.TelemetryRequests != 6 || es.LocalExits != 3 {
 		t.Fatalf("edge decision counters wrong: %+v", es)
 	}
@@ -128,30 +128,6 @@ func TestDecisionTelemetryEndToEnd(t *testing.T) {
 	}
 }
 
-// A batch offload shares one request: every non-exited sample reports the
-// same ID and a per-sample agreement verdict.
-func TestBatchTelemetry(t *testing.T) {
-	c, _, test, done := trainServeClient(t, 0)
-	defer done()
-	xs := test.Subset(4).X
-	results, err := c.RecognizeBatch(context.Background(), xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := results[0].RequestID
-	if id == "" {
-		t.Fatal("batch offload must carry a request ID")
-	}
-	for i, r := range results {
-		if r.RequestID != id {
-			t.Fatalf("sample %d rode the same request but reports ID %q != %q", i, r.RequestID, id)
-		}
-		if r.BinaryAgree == nil || *r.BinaryAgree != (r.BinaryPred == r.Pred) {
-			t.Fatalf("sample %d agreement wrong: %+v", i, r)
-		}
-	}
-}
-
 // WithTelemetry(false) reverts to plain v2/v1 frames: the edge serves
 // them but its agreement metrics do not move — the old-client posture.
 func TestTelemetryDisabled(t *testing.T) {
@@ -185,7 +161,7 @@ func TestTelemetryDisabled(t *testing.T) {
 	if res.RequestID == "" {
 		t.Fatal("request IDs are independent of telemetry")
 	}
-	es := s.ExitStats()[0]
+	es := s.Stats()[0].Exit
 	if es.OffloadedSamples != 1 || es.TelemetryRequests != 0 || es.Agree+es.Disagree != 0 {
 		t.Fatalf("telemetry-less traffic moved agreement metrics: %+v", es)
 	}

@@ -31,12 +31,12 @@ import (
 // Algorithm 2.
 //
 // A Client models one browser session and runs one recognition at a time:
-// Recognize and RecognizeBatch share the model's per-layer scratch
-// buffers (see models.CloneForInference) and must not run concurrently
-// with each other. SetTau, Tau and the exit-backlog accounting are
-// lock-free and safe to call from other goroutines while a recognition
-// is in flight — a mid-flight threshold change applies to the next
-// decision, never partially to the current one.
+// Recognize uses the model's per-layer scratch buffers (see
+// models.CloneForInference) and must not run concurrently with itself.
+// SetTau, Tau and the exit-backlog accounting are lock-free and safe to
+// call from other goroutines while a recognition is in flight — a
+// mid-flight threshold change applies to the next decision, never
+// partially to the current one.
 type Client struct {
 	base string
 	http *http.Client
