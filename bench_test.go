@@ -90,6 +90,7 @@ func BenchmarkConvBinaryFloatSim(b *testing.B) {
 
 func BenchmarkConvBinaryPackedXNOR(b *testing.B) {
 	_, pc, _, x := convBenchSetup()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pc.Forward(x)
@@ -110,6 +111,7 @@ func BenchmarkLinearBinaryPackedXNOR(b *testing.B) {
 	g := tensor.NewRNG(2)
 	l := binary.PackLinear(binary.NewLinear("bl", g, 4096, 1024))
 	x := g.Uniform(-1, 1, 1, 4096)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		l.Forward(x)

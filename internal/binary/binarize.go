@@ -7,6 +7,8 @@
 package binary
 
 import (
+	"math"
+
 	"lcrs/internal/tensor"
 )
 
@@ -20,11 +22,7 @@ func FilterAlphas(w *tensor.Tensor) []float32 {
 	for o := 0; o < outC; o++ {
 		var s float64
 		for _, v := range w.Data[o*n : (o+1)*n] {
-			if v < 0 {
-				s -= float64(v)
-			} else {
-				s += float64(v)
-			}
+			s += float64(abs32(v))
 		}
 		alphas[o] = float32(s / float64(n))
 	}
@@ -111,11 +109,7 @@ func InputScalesInto(dst, aplane []float32, g tensor.ConvGeom, img []float32) {
 	for c := 0; c < g.InC; c++ {
 		plane := img[c*inHW : (c+1)*inHW]
 		for i, v := range plane {
-			if v < 0 {
-				a[i] -= v * invC
-			} else {
-				a[i] += v * invC
-			}
+			a[i] += abs32(v) * invC
 		}
 	}
 	outH, outW := g.OutH(), g.OutW()
@@ -151,11 +145,14 @@ func InputScalesInto(dst, aplane []float32, g tensor.ConvGeom, img []float32) {
 func RowScale(row []float32) float32 {
 	var s float64
 	for _, v := range row {
-		if v < 0 {
-			s -= float64(v)
-		} else {
-			s += float64(v)
-		}
+		s += float64(abs32(v))
 	}
 	return float32(s / float64(len(row)))
+}
+
+// abs32 is |v| by clearing the sign bit, with no data-dependent branch.
+// Sums of |v| equal the branchy a - v (v < 0) / a + v form exactly: IEEE
+// negation is exact and (-v)*c == -(v*c). Only a NaN's sign can differ.
+func abs32(v float32) float32 {
+	return math.Float32frombits(math.Float32bits(v) &^ (1 << 31))
 }

@@ -12,18 +12,31 @@ import (
 // layers (pooling, batch norm, the final classifier) run as-is in inference
 // mode. This is the role the paper's C++-to-WASM library plays inside the
 // mobile web browser.
+//
+// The branch keeps per-stage forward state, and its float stages hold
+// eval scratch like any nn layer, so it runs on one goroutine at a time.
+// Without an arena (the default) the packed stages allocate their outputs
+// and scratch on every call. SetArena (nn.ArenaScratch) moves all of it
+// into a caller-owned tensor.Arena: a steady-state Forward then allocates
+// nothing, and outputs are valid only until the arena's next Reset.
 type PackedBranch struct {
 	stages []packedStage
+	arena  *tensor.Arena
 }
 
 type packedStage struct {
 	conv   *PackedConv2D
 	linear *PackedLinear
 	float  nn.Layer
+	// convRun is the conv stage's forward state, reused across calls.
+	convRun convRun
 }
 
 // PackBranch converts a trained binary branch (a Sequential mixing
 // binary.Conv2D/binary.Linear with float layers) into its packed executor.
+// Float layers are inference clones (nn.CloneForInference): they share
+// parameters with seq, but an arena installed on the branch stays private
+// to it.
 func PackBranch(seq *nn.Sequential) *PackedBranch {
 	pb := &PackedBranch{}
 	nn.Walk(seq, func(l nn.Layer) {
@@ -39,20 +52,33 @@ func PackBranch(seq *nn.Sequential) *PackedBranch {
 		case *Linear:
 			pb.stages = append(pb.stages, packedStage{linear: PackLinear(t)})
 		default:
-			pb.stages = append(pb.stages, packedStage{float: l})
+			pb.stages = append(pb.stages, packedStage{float: nn.CloneForInference(l)})
 		}
 	})
 	return pb
 }
 
+// SetArena implements nn.ArenaScratch: the packed stages take outputs and
+// scratch from a, and a is installed on the float stages. A nil a restores
+// the allocating default.
+func (pb *PackedBranch) SetArena(a *tensor.Arena) {
+	pb.arena = a
+	for _, st := range pb.stages {
+		if st.float != nil {
+			nn.InstallArena(st.float, a)
+		}
+	}
+}
+
 // Forward runs the packed branch on a batch (NCHW or (batch, features)).
 func (pb *PackedBranch) Forward(x *tensor.Tensor) *tensor.Tensor {
-	for _, st := range pb.stages {
+	for i := range pb.stages {
+		st := &pb.stages[i]
 		switch {
 		case st.conv != nil:
-			x = st.conv.Forward(x)
+			x = st.convRun.forward(st.conv, x, pb.arena)
 		case st.linear != nil:
-			x = st.linear.Forward(x)
+			x = st.linear.forward(x, pb.arena)
 		default:
 			x = st.float.Forward(x, false)
 		}

@@ -75,3 +75,36 @@ func TestPackBranchRejectsResiduals(t *testing.T) {
 	}()
 	PackBranch(seq)
 }
+
+// With an arena installed the packed branch must give the same bits as
+// the allocating path and, once warm, allocate nothing per forward — with
+// one worker and with chunked ParallelFor dispatch.
+func TestPackedBranchZeroAllocs(t *testing.T) {
+	if raceDetectorOn {
+		t.Skip("race runtime allocates; budget only meaningful without -race")
+	}
+	g := tensor.NewRNG(5)
+	branch := buildBranch(g)
+	branch.Forward(g.Uniform(-1, 1, 8, 3, 8, 8), true)
+	x := g.Uniform(-1, 1, 1, 3, 8, 8)
+	want := PackBranch(branch).Forward(x)
+
+	pb := PackBranch(branch)
+	arena := tensor.NewArena()
+	pb.SetArena(arena)
+	for _, workers := range []int{1, 4} {
+		prev := tensor.SetMaxWorkers(workers)
+		for i := 0; i < 2; i++ { // grow the slabs, then confirm they settled
+			arena.Reset()
+			requireSameBits(t, "arena branch", want, pb.Forward(x))
+		}
+		avg := testing.AllocsPerRun(50, func() {
+			arena.Reset()
+			pb.Forward(x)
+		})
+		tensor.SetMaxWorkers(prev)
+		if avg != 0 {
+			t.Fatalf("workers=%d: steady-state PackedBranch.Forward allocates %.1f objects/op, want 0", workers, avg)
+		}
+	}
+}

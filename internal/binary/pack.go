@@ -17,14 +17,21 @@ func PackSigns(dst []uint64, src []float32) {
 	if len(dst) != wordsFor(len(src)) {
 		panic(fmt.Sprintf("binary: PackSigns dst has %d words, want %d", len(dst), wordsFor(len(src))))
 	}
-	for i := range dst {
-		dst[i] = 0
-	}
+	clear(dst)
 	for i, v := range src {
-		if v >= 0 {
-			dst[i/64] |= 1 << uint(i%64)
-		}
+		dst[i>>6] |= signBit(v) << uint(i&63)
 	}
+}
+
+// signBit is 1 when v >= 0 and 0 otherwise; NaN compares false and packs
+// as -1. The compare feeds a SETcc, not a branch, so data-dependent signs
+// cost no mispredictions.
+func signBit(v float32) uint64 {
+	var b uint64
+	if v >= 0 {
+		b = 1
+	}
+	return b
 }
 
 // XnorDot computes the dot product of two {-1,+1} vectors of length n from

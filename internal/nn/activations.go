@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"math"
+
 	"lcrs/internal/tensor"
 )
 
@@ -35,16 +37,17 @@ func (r *ReLU) FLOPs(in []int) int64 { return int64(shapeProduct(in)) }
 
 // Forward implements Layer. Every output element is written explicitly —
 // arena-backed eval outputs recycle a previous request's bytes, so relying
-// on zeroed storage for the negative lanes would leak stale values.
+// on zeroed storage for the negative lanes would leak stale values. The
+// eval path selects through a mask taken from the same v > 0 compare as
+// training, so NaN and -0 still give +0, without a data-dependent branch
+// (signs of activations are unpredictable, and mispredicted branches
+// cost more than the selection).
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if !train {
 		out := evalTensor(r.arena, x.Shape...)
+		dst := out.Data[:len(x.Data)]
 		for i, v := range x.Data {
-			if v > 0 {
-				out.Data[i] = v
-			} else {
-				out.Data[i] = 0
-			}
+			dst[i] = math.Float32frombits(math.Float32bits(v) & mask32(v > 0))
 		}
 		return out
 	}
@@ -119,4 +122,15 @@ func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward implements Layer.
 func (f *Flatten) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	return dout.Reshape(f.lastShape...)
+}
+
+// mask32 is all ones when b holds and zero otherwise. The compiler turns
+// the conditional into a SETcc, so selecting through the mask costs no
+// branch whatever b's pattern.
+func mask32(b bool) uint32 {
+	var m uint32
+	if b {
+		m = 1
+	}
+	return -m
 }

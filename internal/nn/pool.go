@@ -63,6 +63,7 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, c := x.Dim(0), x.Dim(1)
 	g := m.geom(x.Shape[1:])
 	outH, outW := g.OutH(), g.OutW()
+	inH, inW := x.Dim(2), x.Dim(3)
 	var out *tensor.Tensor
 	if train {
 		out = tensor.New(n, c, outH, outW)
@@ -70,6 +71,10 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		// Every output element is written below (all-padding windows
 		// store 0 explicitly), so uninitialized arena storage is safe.
 		out = evalTensor(m.arena, n, c, outH, outW)
+		if m.K == 2 && m.Stride == 2 && m.Pad == 0 && 2*outH <= inH && 2*outW <= inW {
+			pool2x2Eval(out.Data, x.Data, n*c, inH, inW, outH, outW)
+			return out
+		}
 	}
 	if train {
 		m.lastShape = append([]int(nil), x.Shape...)
@@ -78,7 +83,6 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		}
 		m.argmax = m.argmax[:out.Len()]
 	}
-	inH, inW := x.Dim(2), x.Dim(3)
 	oi := 0
 	for b := 0; b < n; b++ {
 		for ch := 0; ch < c; ch++ {
@@ -119,6 +123,39 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		}
 	}
 	return out
+}
+
+// pool2x2Eval is the inference loop of the 2x2, stride-2, unpadded pool
+// every architecture here uses, over planes of inH x inW. It makes the
+// general loop's compare, v > best, in the same window order, so NaN never
+// wins, ties keep the first element (-0 before +0 stays -0) and a window
+// where nothing compared greater (all NaN or -Inf) gives +0 as the general
+// loop's bestIdx < 0 case does. But it selects through masks instead of
+// branching on the compare: activation signs are unpredictable, and the
+// mispredicted branches cost more than the selection.
+func pool2x2Eval(dst, src []float32, planes, inH, inW, outH, outW int) {
+	for p := 0; p < planes*outH; p++ {
+		top := (p/outH*inH + p%outH*2) * inW
+		r0, r1 := src[top:][:inW], src[top+inW:][:inW]
+		d := dst[p*outW:][:outW]
+		for ox := range d {
+			b, f := selectGreater(r0[2*ox], negInfBits, 0)
+			b, f = selectGreater(r0[2*ox+1], b, f)
+			b, f = selectGreater(r1[2*ox], b, f)
+			b, f = selectGreater(r1[2*ox+1], b, f)
+			d[ox] = math.Float32frombits(b & f)
+		}
+	}
+}
+
+// negInfBits is the bit pattern of -Inf, the running max before any tap.
+const negInfBits uint32 = 0xff800000
+
+// selectGreater is one max-pool tap: v replaces best when v > best, and
+// found records that some tap did.
+func selectGreater(v float32, best, found uint32) (uint32, uint32) {
+	gt := mask32(v > math.Float32frombits(best))
+	return math.Float32bits(v)&gt | best&^gt, found | gt
 }
 
 // Backward implements Layer.

@@ -1,9 +1,8 @@
 package tensor
 
-
 // Arena is a bump allocator for per-inference scratch: tensor data, tensor
-// headers, shape slices and kernel panel buffers are carved out of three
-// reusable slabs. A serving replica owns one arena, calls Reset at the
+// headers, shape slices, kernel panel buffers and packed sign-bit words
+// are carved out of four reusable slabs. A serving replica owns one arena, calls Reset at the
 // start of every request, and runs its whole forward pass out of the slabs
 // — after a warm-up forward has sized them, a steady-state request
 // performs zero heap allocations (enforced by the allocs/op budget test in
@@ -30,13 +29,17 @@ type Arena struct {
 	fOff   int
 	fNeed  int
 
-	ints []int
-	iOff int
+	ints  []int
+	iOff  int
 	iNeed int
 
 	hdrs  []Tensor
 	hOff  int
 	hNeed int
+
+	words []uint64
+	wOff  int
+	wNeed int
 }
 
 // NewArena returns an empty arena; the first forward pass (or an explicit
@@ -58,13 +61,18 @@ func (a *Arena) Reset() {
 		a.hdrs = make([]Tensor, a.hOff+a.hNeed)
 		a.hNeed = 0
 	}
-	a.fOff, a.iOff, a.hOff = 0, 0, 0
+	if a.wNeed > 0 {
+		a.words = make([]uint64, a.wOff+a.wNeed)
+		a.wNeed = 0
+	}
+	a.fOff, a.iOff, a.hOff, a.wOff = 0, 0, 0, 0
 }
 
 // FootprintBytes returns the total slab capacity in bytes, for diagnostics
 // and capacity planning (per-replica steady-state scratch).
 func (a *Arena) FootprintBytes() int64 {
-	return int64(len(a.floats))*4 + int64(len(a.ints))*8 + int64(len(a.hdrs))*8 // hdr size approximated
+	return int64(len(a.floats))*4 + int64(len(a.ints))*8 + int64(len(a.words))*8 +
+		int64(len(a.hdrs))*8 // hdr size approximated
 }
 
 // Floats returns an n-length scratch slice valid until the next Reset.
@@ -77,6 +85,18 @@ func (a *Arena) Floats(n int) []float32 {
 	}
 	a.fNeed += n
 	return make([]float32, n)
+}
+
+// Words returns an n-length uint64 scratch slice (packed sign bits) valid
+// until the next Reset. Contents are unspecified, as with Floats.
+func (a *Arena) Words(n int) []uint64 {
+	if a.wOff+n <= len(a.words) {
+		s := a.words[a.wOff : a.wOff+n : a.wOff+n]
+		a.wOff += n
+		return s
+	}
+	a.wNeed += n
+	return make([]uint64, n)
 }
 
 func (a *Arena) intSlice(n int) []int {

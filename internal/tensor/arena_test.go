@@ -51,6 +51,7 @@ func TestArenaBumpAndReuse(t *testing.T) {
 			x.Data[i] = float32(i)
 		}
 		_ = a.Floats(10)
+		_ = a.Words(5)
 		_ = a.View(x, 3, 2)
 	})
 	if allocs != 0 {
@@ -93,4 +94,24 @@ func TestArenaGrowthAfterShapeChange(t *testing.T) {
 		t.Fatal("grown slab should satisfy the repeated demand")
 	}
 	_ = b2
+}
+
+// Words slices come from their own slab: disjoint within a cycle, the same
+// memory across steady-state cycles.
+func TestArenaWords(t *testing.T) {
+	a := NewArena()
+	_ = a.Words(3)
+	_ = a.Words(4)
+	a.Reset()
+	w1, w2 := a.Words(3), a.Words(4)
+	if len(w1) != 3 || len(w2) != 4 || &w1[2] == &w2[0] {
+		t.Fatal("words slices must have the requested lengths and not alias")
+	}
+	a.Reset()
+	if w3 := a.Words(3); &w3[0] != &w1[0] {
+		t.Fatal("steady-state cycles must reuse the word slab")
+	}
+	if a.FootprintBytes() < 7*8 {
+		t.Fatalf("footprint %d omits the word slab", a.FootprintBytes())
+	}
 }

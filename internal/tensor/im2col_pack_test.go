@@ -84,11 +84,11 @@ func checkPackAgainstIm2Col(t *testing.T, g ConvGeom, seed int64) {
 func TestPackColsPanelMatchesIm2Col(t *testing.T) {
 	geoms := []ConvGeom{
 		{InC: 3, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1},
-		{InC: 1, InH: 4, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 2},  // rows fully in padding
-		{InC: 2, InH: 9, InW: 7, KH: 5, KW: 5, Stride: 2, Pad: 2},  // ragged stride
-		{InC: 4, InH: 5, InW: 5, KH: 1, KW: 1, Stride: 1, Pad: 0},  // pointwise
-		{InC: 2, InH: 3, InW: 3, KH: 3, KW: 3, Stride: 1, Pad: 0},  // single output position
-		{InC: 1, InH: 2, InW: 2, KH: 3, KW: 3, Stride: 1, Pad: 1},  // kernel larger than input
+		{InC: 1, InH: 4, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 2},   // rows fully in padding
+		{InC: 2, InH: 9, InW: 7, KH: 5, KW: 5, Stride: 2, Pad: 2},   // ragged stride
+		{InC: 4, InH: 5, InW: 5, KH: 1, KW: 1, Stride: 1, Pad: 0},   // pointwise
+		{InC: 2, InH: 3, InW: 3, KH: 3, KW: 3, Stride: 1, Pad: 0},   // single output position
+		{InC: 1, InH: 2, InW: 2, KH: 3, KW: 3, Stride: 1, Pad: 1},   // kernel larger than input
 		{InC: 3, InH: 16, InW: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}, // > convNC positions
 	}
 	for i, g := range geoms {

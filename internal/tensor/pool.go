@@ -15,14 +15,27 @@ import (
 
 var (
 	poolOnce    sync.Once
-	poolTasks   chan func()
+	poolTasks   chan chunk
 	poolWorkers int
+
+	// waitGroups recycles ParallelFor's completion counters, so a call
+	// whose body is a long-lived func value (a method value stored once,
+	// as ConvGemmState does) performs no heap allocation at all.
+	waitGroups = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
 
 	// maxWorkersOverride caps the number of chunks ParallelFor creates.
 	// Zero (the default) means GOMAXPROCS. Tests set 1 to force serial
 	// execution and >GOMAXPROCS to force chunked execution on small hosts.
 	maxWorkersOverride atomic.Int32
 )
+
+// chunk is one [lo, hi) slice of a ParallelFor, handed to a worker by
+// value: sending it allocates nothing.
+type chunk struct {
+	body   func(lo, hi int)
+	lo, hi int
+	wg     *sync.WaitGroup
+}
 
 // pool lazily starts the worker goroutines. Workers are few (GOMAXPROCS)
 // and idle ones cost nothing, so the pool is never torn down. The task
@@ -31,14 +44,15 @@ var (
 // chunks while every worker is busy — and if the busy worker is itself
 // blocked in a ParallelFor wait, those buffered chunks never run and the
 // wait never returns.
-func pool() chan func() {
+func pool() chan chunk {
 	poolOnce.Do(func() {
 		poolWorkers = runtime.GOMAXPROCS(0)
-		poolTasks = make(chan func())
+		poolTasks = make(chan chunk)
 		for i := 0; i < poolWorkers; i++ {
 			go func() {
-				for f := range poolTasks {
-					f()
+				for c := range poolTasks {
+					c.body(c.lo, c.hi)
+					c.wg.Done()
 				}
 			}()
 		}
@@ -70,7 +84,9 @@ func SetMaxWorkers(n int) int {
 // chunk runs on the calling goroutine; the rest are offered to the shared
 // pool and run inline when the pool is saturated, so nested ParallelFor
 // calls cannot deadlock. body must only write state owned by its [lo, hi)
-// range.
+// range. ParallelFor itself allocates nothing at steady state; a body
+// built as a closure literal is heap-allocated by the caller, so hot paths
+// that must stay allocation-free pass a func value they keep.
 func ParallelFor(n int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -86,24 +102,20 @@ func ParallelFor(n int, body func(lo, hi int)) {
 	}
 	size := (n + chunks - 1) / chunks
 	tasks := pool()
-	var wg sync.WaitGroup
+	wg := waitGroups.Get().(*sync.WaitGroup)
 	for lo := size; lo < n; lo += size {
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
-		lo, hi := lo, hi
+		hi := min(lo+size, n)
 		wg.Add(1)
-		f := func() {
-			defer wg.Done()
-			body(lo, hi)
-		}
 		select {
-		case tasks <- f:
+		case tasks <- chunk{body: body, lo: lo, hi: hi, wg: wg}:
 		default:
-			f() // pool saturated: run inline, guaranteeing progress
+			// Pool saturated: run inline, guaranteeing progress.
+			body(lo, hi)
+			wg.Done()
 		}
 	}
 	body(0, size)
 	wg.Wait()
+	// Wait has returned, so no worker touches wg again: safe to reuse.
+	waitGroups.Put(wg)
 }

@@ -76,3 +76,28 @@ func TestParallelForDisjointWritesDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// ParallelFor with a kept body must not allocate, serial or chunked: the
+// zero-alloc forwards of the serving replicas and the browser client rely
+// on it on multi-core hosts.
+func TestParallelForZeroAllocs(t *testing.T) {
+	if raceDetectorOn {
+		t.Skip("the race runtime drops sync.Pool items; budget only meaningful without -race")
+	}
+	var sum atomic.Int64
+	body := func(lo, hi int) { sum.Add(int64(hi - lo)) }
+	for _, workers := range []int{1, 4} {
+		prev := SetMaxWorkers(workers)
+		ParallelFor(64, body) // start the pool, fill the WaitGroup cache
+		avg := testing.AllocsPerRun(100, func() { ParallelFor(64, body) })
+		SetMaxWorkers(prev)
+		if avg != 0 {
+			t.Fatalf("workers=%d: ParallelFor allocates %.1f objects/call, want 0", workers, avg)
+		}
+	}
+	// Per worker setting: one warm call, AllocsPerRun's own warm-up and
+	// its 100 measured runs.
+	if got, want := sum.Load(), int64(2*64*102); got != want {
+		t.Fatalf("covered %d indices, want %d", got, want)
+	}
+}

@@ -24,6 +24,7 @@ import (
 	"lcrs/internal/exitpolicy"
 	"lcrs/internal/modelio"
 	"lcrs/internal/models"
+	"lcrs/internal/nn"
 	"lcrs/internal/tensor"
 )
 
@@ -31,8 +32,9 @@ import (
 // Algorithm 2.
 //
 // A Client models one browser session and runs one recognition at a time:
-// Recognize uses the model's per-layer scratch buffers (see
-// models.CloneForInference) and must not run concurrently with itself.
+// Recognize runs the model out of the client's scratch arena (reset at
+// the start of every recognition) and must not run concurrently with
+// itself.
 // SetTau, Tau and the exit-backlog accounting are lock-free and safe to
 // call from other goroutines while a recognition is in flight — a
 // mid-flight threshold change applies to the next decision, never
@@ -44,6 +46,10 @@ type Client struct {
 	modelName string
 	model     *models.Composite
 	branch    *binary.PackedBranch // bit-packed executor for the binary branch
+	// arena backs every tensor of the local forward (conv1 and the binary
+	// branch): Recognize resets it first, so a warm exit allocates nothing.
+	// The client owns the model, so the arena is never shared.
+	arena *tensor.Arena
 	// modelArch/modelCfg remember how the loaded model was built so
 	// RevalidateBundle can rebuild it when the edge serves a new version.
 	modelArch string
@@ -157,8 +163,7 @@ func (c *Client) LoadModel(ctx context.Context, name, arch string, cfg models.Co
 		return fmt.Errorf("webclient: install bundle: %w", err)
 	}
 	c.modelName = name
-	c.model = m
-	c.branch = binary.PackBranch(m.Binary)
+	c.install(m)
 	c.modelArch = arch
 	c.modelCfg = cfg
 	c.bundleVersion = resp.Header.Get(collab.ModelVersionHeader)
@@ -167,6 +172,18 @@ func (c *Client) LoadModel(ctx context.Context, name, arch string, cfg models.Co
 	c.loadTime = time.Since(start)
 	c.loadBytes = len(data)
 	return nil
+}
+
+// install makes m the client's model: it packs the binary branch and puts
+// the shared prefix and the branch on the client's arena.
+func (c *Client) install(m *models.Composite) {
+	if c.arena == nil {
+		c.arena = tensor.NewArena()
+	}
+	c.model = m
+	c.branch = binary.PackBranch(m.Binary)
+	nn.InstallArena(m.Shared, c.arena)
+	c.branch.SetArena(c.arena)
 }
 
 // ModelVersion reports the content-addressed version of the loaded bundle
@@ -220,8 +237,7 @@ func (c *Client) RevalidateBundle(ctx context.Context) (changed bool, err error)
 	if err := modelio.DecodeBrowserBundle(data, m); err != nil {
 		return false, fmt.Errorf("webclient: install bundle: %w", err)
 	}
-	c.model = m
-	c.branch = binary.PackBranch(m.Binary)
+	c.install(m)
 	c.bundleVersion = resp.Header.Get(collab.ModelVersionHeader)
 	c.bundleETag = resp.Header.Get("ETag")
 	c.loadBytes = len(data)
@@ -394,13 +410,19 @@ func (c *Client) Recognize(ctx context.Context, x *tensor.Tensor) (Result, error
 		return Result{}, fmt.Errorf("webclient: no model loaded")
 	}
 	start := time.Now()
-	batch := x.Reshape(append([]int{1}, x.Shape...)...)
+	// Every tensor below lives in the arena until the next recognition's
+	// Reset; nothing of it outlives this call (the offload path encodes
+	// shared before returning).
+	c.arena.Reset()
+	var dims [8]int // the batch view's shape, built on the stack
+	batch := c.arena.View(x, append(append(dims[:0], 1), x.Shape...)...)
 	shared := c.model.ForwardShared(batch, false)
 	// The binary branch runs through the bit-packed XNOR executor — the
 	// code path the paper's WASM library accelerates in the browser.
 	logits := c.branch.Forward(shared)
-	probs := tensor.Softmax(logits)
-	entropy := exitpolicy.NormalizedEntropy(probs.Row(0))
+	probs := c.arena.Floats(logits.Len())
+	tensor.SoftmaxRow(probs, logits.Row(0))
+	entropy := exitpolicy.NormalizedEntropy(probs)
 	binaryPred := logits.Argmax()
 	// One tau load per decision: the same value feeds the exit test and
 	// the telemetry frame, so a concurrent SetTau/controller push cannot

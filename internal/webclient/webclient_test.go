@@ -6,9 +6,13 @@ import (
 	"sync"
 	"testing"
 
+	"lcrs/internal/binary"
 	"lcrs/internal/dataset"
 	"lcrs/internal/edge"
+	"lcrs/internal/exitpolicy"
 	"lcrs/internal/models"
+	"lcrs/internal/nn"
+	"lcrs/internal/tensor"
 	"lcrs/internal/training"
 )
 
@@ -187,5 +191,47 @@ func TestLoadModelUnknownName(t *testing.T) {
 	cfg := models.Config{Classes: 10, InC: 1, InH: 28, InW: 28, WidthScale: 0.08, Seed: 1}
 	if err := c.LoadModel(context.Background(), "missing", "lenet", cfg, 0.5); err == nil {
 		t.Fatal("unknown model name must fail")
+	}
+}
+
+// A warm local exit must allocate nothing: conv1, the packed binary branch
+// and the softmax all run out of the client's arena. The entropy must be
+// bitwise the one the allocating executors compute.
+func TestRecognizeExitZeroAllocs(t *testing.T) {
+	if raceDetectorOn {
+		t.Skip("race runtime allocates; budget only meaningful without -race")
+	}
+	if !nn.FusedConvEnabled() {
+		t.Skip("fusion disabled via nn.SetFusedConv; the legacy conv path allocates its outputs")
+	}
+	c, m, test, done := trainServeClient(t, 1.0) // every frame exits
+	defer done()
+	ctx := context.Background()
+	x, _ := test.Sample(0)
+
+	ref := m.CloneForInference()
+	logits := binary.PackBranch(ref.Binary).Forward(ref.ForwardShared(x.Reshape(append([]int{1}, x.Shape...)...), false))
+	want := exitpolicy.NormalizedEntropy(tensor.Softmax(logits).Row(0))
+
+	for _, workers := range []int{1, 4} {
+		prev := tensor.SetMaxWorkers(workers)
+		for i := 0; i < 2; i++ { // grow the arena, then confirm it settled
+			res, err := c.Recognize(ctx, x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Exited || res.Entropy != want || res.Pred != logits.Argmax() {
+				t.Fatalf("exit=%v entropy=%v pred=%d, want exit, %v, %d", res.Exited, res.Entropy, res.Pred, want, logits.Argmax())
+			}
+		}
+		avg := testing.AllocsPerRun(50, func() {
+			if _, err := c.Recognize(ctx, x); err != nil {
+				t.Fatal(err)
+			}
+		})
+		tensor.SetMaxWorkers(prev)
+		if avg != 0 {
+			t.Fatalf("workers=%d: steady-state exiting Recognize allocates %.1f objects/op, want 0", workers, avg)
+		}
 	}
 }

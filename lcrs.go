@@ -200,7 +200,11 @@ type PackedBranch = binary.PackedBranch
 
 // PackBinaryBranch converts a trained model's binary branch into the
 // bit-packed XNOR executor the web client runs — the analogue of the
-// paper's WASM library.
+// paper's WASM library. A branch keeps per-stage forward state and eval
+// scratch, so run one branch per goroutine. By default Forward
+// allocates its outputs; SetArena moves every output and scratch buffer
+// into a caller-owned tensor.Arena (zero allocations once warm, outputs
+// valid until the arena's next Reset).
 func PackBinaryBranch(m *Model) *PackedBranch { return binary.PackBranch(m.Binary) }
 
 // NewEdgeServer creates an empty edge server with default configuration;
